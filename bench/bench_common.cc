@@ -6,6 +6,7 @@
 #include <cstdlib>
 
 #include "sched/heuristics.h"
+#include "util/build_info.h"
 #include "util/logging.h"
 #include "util/math_util.h"
 
@@ -67,15 +68,26 @@ LSchedConfig DefaultLSchedConfig() {
 }
 
 namespace {
+/// Cache file of a trained model, keyed by everything that determines it:
+/// kind, benchmark, variant, episodes, threads, seed and the build's git
+/// sha (so a trainer change never serves a model the old code trained).
 std::string CachePath(const BenchConfig& bench, Benchmark benchmark,
                       const std::string& kind, const std::string& variant,
                       int episodes) {
   char buf[512];
-  std::snprintf(buf, sizeof(buf), "%s/%s_%s_%s_e%d_t%d.model",
+  std::snprintf(buf, sizeof(buf), "%s/%s_%s_%s_e%d_t%d_s%llu_%s.model",
                 bench.model_dir.c_str(), kind.c_str(),
                 BenchmarkName(benchmark), variant.c_str(), episodes,
-                bench.threads);
+                bench.threads, static_cast<unsigned long long>(bench.seed),
+                buildinfo::kGitSha);
   return buf;
+}
+
+/// A build from a modified or unknown tree has no sha that pins its
+/// trainer, so it neither loads nor writes cached models.
+bool CacheUsable() {
+  const std::string sha = buildinfo::kGitSha;
+  return sha != "unknown" && sha.find("-dirty") == std::string::npos;
 }
 
 bool FileExists(const std::string& path) {
@@ -95,7 +107,7 @@ std::unique_ptr<LSchedModel> TrainedLSched(const BenchConfig& bench,
   auto model = std::make_unique<LSchedModel>(config);
   const std::string path =
       CachePath(bench, benchmark, "lsched", variant, episodes);
-  if (FileExists(path) && model->Load(path).ok()) {
+  if (CacheUsable() && FileExists(path) && model->Load(path).ok()) {
     std::fprintf(stderr, "[bench] loaded cached model %s\n", path.c_str());
     return model;
   }
@@ -113,6 +125,7 @@ std::unique_ptr<LSchedModel> TrainedLSched(const BenchConfig& bench,
   ReinforceTrainer trainer(model.get(), &engine, tcfg);
   trainer.Train(TrainFactory(benchmark));
   if (warm_start != nullptr) model->UnfreezeAll();
+  if (!CacheUsable()) return model;
   const Status st = model->Save(path);
   if (!st.ok()) {
     std::fprintf(stderr, "[bench] model save failed: %s\n",
@@ -129,7 +142,7 @@ std::unique_ptr<DecimaModel> TrainedDecima(const BenchConfig& bench,
   auto model = std::make_unique<DecimaModel>(DecimaConfig{});
   const std::string path =
       CachePath(bench, benchmark, "decima", "full", episodes);
-  if (FileExists(path)) {
+  if (CacheUsable() && FileExists(path)) {
     auto reader = BinaryReader::FromFile(path);
     if (reader.ok() && model->params()->Deserialize(&*reader).ok()) {
       std::fprintf(stderr, "[bench] loaded cached model %s\n", path.c_str());
@@ -141,6 +154,7 @@ std::unique_ptr<DecimaModel> TrainedDecima(const BenchConfig& bench,
                BenchmarkName(benchmark), episodes);
   DecimaTrainer trainer(model.get(), &engine, episodes, 2e-3, bench.seed);
   trainer.Train(TrainFactory(benchmark));
+  if (!CacheUsable()) return model;
   BinaryWriter writer;
   model->params()->Serialize(&writer);
   (void)writer.SaveToFile(path);

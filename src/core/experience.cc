@@ -13,7 +13,7 @@ void ExperienceManager::AddEpisode(std::vector<Experience> experiences,
     baseline_init_.resize(returns.size(), false);
   }
 
-  StoredEpisode ep;
+  StoredEpisode& ep = latest_;
   // Advantages use the baselines learned from *previous* episodes only.
   ep.advantages.resize(returns.size());
   for (size_t d = 0; d < returns.size(); ++d) {
@@ -32,9 +32,7 @@ void ExperienceManager::AddEpisode(std::vector<Experience> experiences,
                      baseline_alpha_ * ep.returns[d];
     }
   }
-
-  episodes_.push_back(std::move(ep));
-  if (episodes_.size() > max_episodes_) episodes_.pop_front();
+  has_latest_ = true;
 }
 
 double ExperienceManager::Baseline(size_t decision_index) const {
@@ -45,8 +43,8 @@ double ExperienceManager::Baseline(size_t decision_index) const {
 }
 
 std::vector<double> ExperienceManager::LatestAdvantages(bool normalize) const {
-  if (episodes_.empty()) return {};
-  std::vector<double> adv = episodes_.back().advantages;
+  if (!has_latest_) return {};
+  std::vector<double> adv = latest_.advantages;
   if (normalize && adv.size() > 1) {
     const double sd = StdDev(adv);
     const double m = Mean(adv);
@@ -58,7 +56,8 @@ std::vector<double> ExperienceManager::LatestAdvantages(bool normalize) const {
 }
 
 void ExperienceManager::Clear() {
-  episodes_.clear();
+  latest_ = StoredEpisode{};
+  has_latest_ = false;
   baseline_.clear();
   baseline_init_.clear();
 }

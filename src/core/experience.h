@@ -1,20 +1,21 @@
 #ifndef LSCHED_CORE_EXPERIENCE_H_
 #define LSCHED_CORE_EXPERIENCE_H_
 
-#include <deque>
 #include <vector>
 
 #include "core/agent.h"
 
 namespace lsched {
 
-/// The Experience Manager (paper Fig. 2): stores reward experiences from
-/// training/online episodes and maintains the per-decision-index reward
-/// baselines used to reduce REINFORCE's gradient variance (paper §6, [61]).
+/// The Experience Manager (paper Fig. 2): holds the reward experiences of
+/// the latest training/online episode and maintains the per-decision-index
+/// reward baselines used to reduce REINFORCE's gradient variance (paper §6,
+/// [61]). The baselines are running EWMAs, so no earlier episode is kept:
+/// memory stays that of one episode however long training runs.
 class ExperienceManager {
  public:
-  explicit ExperienceManager(size_t max_episodes = 64, double baseline_alpha = 0.1)
-      : max_episodes_(max_episodes), baseline_alpha_(baseline_alpha) {}
+  explicit ExperienceManager(double baseline_alpha = 0.1)
+      : baseline_alpha_(baseline_alpha) {}
 
   /// Records an episode's returns and updates the baselines.
   void AddEpisode(std::vector<Experience> experiences,
@@ -33,15 +34,17 @@ class ExperienceManager {
     std::vector<double> advantages;  ///< returns minus pre-episode baselines
   };
 
-  const StoredEpisode& latest() const { return episodes_.back(); }
-  size_t num_episodes() const { return episodes_.size(); }
-  bool empty() const { return episodes_.empty(); }
+  /// The most recent episode (requires !empty()).
+  const StoredEpisode& latest() const { return latest_; }
+  /// Episodes held: 1 once any was added (only the latest is kept).
+  size_t num_episodes() const { return has_latest_ ? 1 : 0; }
+  bool empty() const { return !has_latest_; }
   void Clear();
 
  private:
-  size_t max_episodes_;
   double baseline_alpha_;
-  std::deque<StoredEpisode> episodes_;
+  StoredEpisode latest_;
+  bool has_latest_ = false;
   std::vector<double> baseline_;       ///< EWMA of G_d per decision index
   std::vector<bool> baseline_init_;
 };

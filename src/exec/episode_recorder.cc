@@ -13,17 +13,13 @@ namespace lsched {
 
 namespace {
 
-/// "q:op" pairs of every currently-schedulable operator, truncated to
-/// kMaxLoggedCandidates. Also counts the full set, and (when `schedulable`
-/// is non-null) collects the id of every query with at least one
-/// schedulable operator — the trace layer's considered-but-skipped set —
-/// so the per-invocation plan walk happens exactly once.
-std::string CandidateSetString(const SchedulingContext& ctx, int* count,
-                               std::vector<QueryId>* schedulable) {
-  std::string out;
-  out.reserve(128);
-  int n = 0;
-  char buf[48];
+/// Every currently-schedulable (query, op) pair into `entry`'s candidate
+/// set (the first kMaxLoggedCandidates stored, all counted). When
+/// `schedulable` is non-null, also collects the id of every query with at
+/// least one schedulable operator — the trace layer's considered-but-
+/// skipped set — so the per-invocation plan walk happens exactly once.
+void CollectCandidates(const SchedulingContext& ctx, obs::DecisionEntry* entry,
+                       std::vector<QueryId>* schedulable) {
   for (const QueryState* q : ctx.queries()) {
     // Probe IsOpSchedulable directly: SchedulableOps() allocates a vector
     // per query, too hot for a path run on every scheduler invocation.
@@ -33,20 +29,18 @@ std::string CandidateSetString(const SchedulingContext& ctx, int* count,
       if (!q->IsOpSchedulable(op)) continue;
       if (!any && schedulable != nullptr) schedulable->push_back(q->id());
       any = true;
-      ++n;
-      if (n <= obs::kMaxLoggedCandidates) {
-        std::snprintf(buf, sizeof(buf), "%s%lld:%d", out.empty() ? "" : ";",
-                      static_cast<long long>(q->id()), op);
-        out += buf;
-      }
+      entry->AddCandidate(q->id(), op);
     }
   }
-  if (n > obs::kMaxLoggedCandidates) {
-    std::snprintf(buf, sizeof(buf), "+%d", n - obs::kMaxLoggedCandidates);
-    out += buf;
-  }
-  *count = n;
-  return out;
+}
+
+/// Interned `name_of(key)`, memoized in `cache` (0 = not interned yet).
+template <typename Enum, typename NameFn>
+uint16_t CachedNameId(std::array<uint16_t, 256>* cache, Enum key,
+                      NameFn name_of) {
+  uint16_t& id = (*cache)[static_cast<uint8_t>(key)];
+  if (id == 0) id = obs::InternName(name_of(key));
+  return id;
 }
 
 /// Static names/categories/arg labels per SimSpanKind, applied when the
@@ -103,8 +97,11 @@ void EpisodeRecorder::Begin(const char* engine_name, Scheduler* scheduler,
   engine_name_ = engine_name;
   scheduler_ = scheduler;
   virtual_time_ = virtual_time;
-  realized_base_ = -1;
-  realized_seconds_.clear();
+  pending_base_ = -1;
+  pending_.clear();
+  engine_name_id_ = obs::InternName(engine_name);
+  policy_name_id_ =
+      scheduler != nullptr ? obs::InternName(scheduler->name()) : 0;
   vs_next_ = 0;
   vs_total_ = 0;
   if (virtual_time && obs::Enabled()) {
@@ -210,8 +207,17 @@ void EpisodeRecorder::FinishTimeline(QueryState* query, double now) {
     term.kind = obs::TraceEdgeKind::kTerminal;
     term.a = static_cast<int64_t>(query->status());
     term.value = t->breakdown.total_seconds();
-    qe.edges.push_back(term);  // always kept, even past the cap
-    rec.edges = std::move(qe.edges);
+    // Published exactly sized; the terminal edge is always kept, even past
+    // the cap. A capped buffer already has the one spare slot (see
+    // AddTraceEdge), so only shorter traces are copied.
+    if (qe.edges.capacity() == qe.edges.size() + 1) {
+      qe.edges.push_back(term);
+      rec.edges = std::move(qe.edges);
+    } else {
+      rec.edges.reserve(qe.edges.size() + 1);
+      rec.edges.assign(qe.edges.begin(), qe.edges.end());
+      rec.edges.push_back(term);
+    }
     rec.dropped_edges = qe.dropped;
     qe = QueryEdges{};  // release the slot's memory in serving mode
     obs::QueryTraceLog::Global().Record(std::move(rec));
@@ -225,9 +231,16 @@ void EpisodeRecorder::AddTraceEdge(QueryId qid, const obs::TraceEdge& e) {
   const size_t idx = static_cast<size_t>(qid);
   if (query_edges_.size() <= idx) query_edges_.resize(idx + 1);
   QueryEdges& qe = query_edges_[idx];
-  if (qe.edges.size() >= static_cast<size_t>(obs::kMaxTraceEdgesPerQuery)) {
+  constexpr size_t kCap = static_cast<size_t>(obs::kMaxTraceEdgesPerQuery);
+  if (qe.edges.size() >= kCap) {
     ++qe.dropped;
     return;
+  }
+  // Grow geometrically but never past the cap plus the terminal edge's
+  // slot, so a capped query's buffer is exactly its published size.
+  if (qe.edges.size() == qe.edges.capacity()) {
+    const size_t grown = std::max<size_t>(16, 2 * qe.edges.size());
+    qe.edges.reserve(grown >= kCap ? kCap + 1 : grown);
   }
   qe.edges.push_back(e);
 }
@@ -304,18 +317,18 @@ int64_t EpisodeRecorder::OnSchedulerInvocation(
   ++local_invocations_;
   lh_decision_seconds_.Observe(wall_seconds);
 
-  obs::DecisionRecord rec;
+  obs::DecisionEntry& rec = entry_scratch_;
+  rec.Reset();
   rec.time = ctx.now();
-  rec.engine = engine_name_;
-  rec.event = SchedulingEventTypeName(event.type);
-  rec.policy = scheduler_ != nullptr ? scheduler_->name() : "";
+  rec.engine = engine_name_id_;
+  rec.event =
+      CachedNameId(&event_name_ids_, event.type, SchedulingEventTypeName);
+  rec.policy = policy_name_id_;
 #if LSCHED_OBS_ENABLED
   considered_scratch_.clear();
-  rec.candidates = CandidateSetString(ctx, &rec.num_candidates,
-                                      trace_on_ ? &considered_scratch_
-                                                : nullptr);
+  CollectCandidates(ctx, &rec, trace_on_ ? &considered_scratch_ : nullptr);
 #else
-  rec.candidates = CandidateSetString(ctx, &rec.num_candidates, nullptr);
+  CollectCandidates(ctx, &rec, nullptr);
 #endif
   rec.running_queries = static_cast<int>(ctx.queries().size());
   rec.free_threads = ctx.num_free_threads();
@@ -323,13 +336,17 @@ int64_t EpisodeRecorder::OnSchedulerInvocation(
     rec.chosen_query = decision.pipelines.front().query;
     rec.chosen_root = decision.pipelines.front().root_op;
     rec.degree = decision.pipelines.front().degree;
-    // Operator type of the chosen root: the per-key attribution the drift
-    // monitor groups prediction errors by.
     if (const QueryState* q = ctx.FindQuery(rec.chosen_query)) {
+      // Operator type of the chosen root: the per-key attribution the
+      // drift monitor groups prediction errors by.
       if (rec.chosen_root >= 0 &&
           rec.chosen_root < static_cast<int>(q->plan().num_nodes())) {
-        rec.op_type = OperatorTypeName(q->plan().node(rec.chosen_root).type);
+        rec.op_type = CachedNameId(&op_type_name_ids_,
+                                   q->plan().node(rec.chosen_root).type,
+                                   OperatorTypeName);
       }
+      // Tenant of the chosen query: keys the per-tenant drift shards.
+      rec.tenant = q->tag().tenant;
     }
   }
   if (!decision.parallelism.empty()) {
@@ -337,15 +354,10 @@ int64_t EpisodeRecorder::OnSchedulerInvocation(
   }
   rec.predicted_score = obs::TakePredictedScore();
   rec.schedule_wall_us = wall_seconds * 1e6;
-  // Tenant of the chosen query: keys the per-tenant drift shards.
-  if (rec.chosen_query >= 0) {
-    if (const QueryState* q = ctx.FindQuery(rec.chosen_query)) {
-      rec.tenant = q->tag().tenant;
-    }
-  }
   const int64_t chosen_query = rec.chosen_query;
   const double predicted_score = rec.predicted_score;
-  const int64_t decision_id = obs::DecisionLog::Global().Add(std::move(rec));
+  const int64_t decision_id = obs::DecisionLog::Global().Add(rec);
+  TrackDecision(decision_id, rec);
 
   // Drain the serving-action channel even when tracing is off, so stale
   // annotations from one invocation can never leak into a later one.
@@ -357,7 +369,7 @@ int64_t EpisodeRecorder::OnSchedulerInvocation(
     // "Considered but skipped": every query with at least one schedulable
     // operator that this decision did not launch gets a causal edge tying
     // its wait to the decision (and the policy's predicted score for what
-    // it chose instead). The set was collected by the CandidateSetString
+    // it chose instead). The set was collected by the CollectCandidates
     // walk above — no second plan scan.
     obs::TraceEdge e;
     e.time = ctx.now();
@@ -496,18 +508,31 @@ void EpisodeRecorder::OnWorkOrderCompleted(QueryId query, int64_t decision_id,
   lh_work_order_seconds_.Observe(seconds);
   if (decision_id >= 0) {
     // Coordinator-local accumulation; flushed to the decision log (one
-    // mutex acquisition per decision, not per work order) in Finalize.
-    if (realized_base_ < 0) realized_base_ = decision_id;
-    if (decision_id < realized_base_) {
-      obs::DecisionLog::Global().AddRealized(decision_id, seconds);
+    // mutex acquisition per decision, not per work order) in FlushWindow.
+    const int64_t idx = decision_id - pending_base_;
+    if (pending_base_ >= 0 && idx >= 0 &&
+        idx < static_cast<int64_t>(pending_.size())) {
+      pending_[static_cast<size_t>(idx)].realized_seconds += seconds;
     } else {
-      const size_t idx = static_cast<size_t>(decision_id - realized_base_);
-      if (idx >= realized_seconds_.size()) {
-        realized_seconds_.resize(idx + 1, 0.0);
-      }
-      realized_seconds_[idx] += seconds;
+      // A decision of an earlier window (serving mode): back-fill it now.
+      obs::DecisionLog::Global().AddRealized(decision_id, seconds);
     }
   }
+}
+
+void EpisodeRecorder::TrackDecision(int64_t id,
+                                    const obs::DecisionEntry& entry) {
+  if (id < 0) return;
+  if (pending_.empty()) pending_base_ = id;
+  // Ids are process-global: decisions other code logged in between (guard
+  // fallbacks, other engines) leave zero-cost gaps that are never flushed.
+  const size_t idx = static_cast<size_t>(id - pending_base_);
+  if (idx >= pending_.size()) pending_.resize(idx + 1);
+  PendingBackfill& p = pending_[idx];
+  p.realized_seconds = 0.0;
+  p.predicted_score = entry.predicted_score;
+  p.op_type = entry.op_type;
+  p.tenant = entry.tenant;
 }
 
 void EpisodeRecorder::OnWorkOrderFailed(QueryId query, double now) {
@@ -634,11 +659,13 @@ int64_t EpisodeRecorder::OnFallback(double now, const SchedulingContext& ctx,
 
   if (!obs::Enabled()) return -1;
   ++local_fallbacks_;
-  obs::DecisionRecord rec;
+  static const uint16_t kFallbackEvent = obs::InternName("fallback");
+  obs::DecisionEntry& rec = entry_scratch_;
+  rec.Reset();
   rec.time = now;
-  rec.engine = engine_name_;
-  rec.event = "fallback";
-  rec.policy = scheduler_ != nullptr ? scheduler_->name() : "";
+  rec.engine = engine_name_id_;
+  rec.event = kFallbackEvent;
+  rec.policy = policy_name_id_;
   rec.fallback = true;
   if (chosen >= 0) {
     rec.chosen_query = chosen;
@@ -646,7 +673,8 @@ int64_t EpisodeRecorder::OnFallback(double now, const SchedulingContext& ctx,
       rec.tenant = q->tag().tenant;
     }
   }
-  const int64_t decision_id = obs::DecisionLog::Global().Add(std::move(rec));
+  const int64_t decision_id = obs::DecisionLog::Global().Add(rec);
+  TrackDecision(decision_id, rec);
 #if LSCHED_OBS_ENABLED
   if (trace_on_) {
     for (const QueryState* q : ctx.queries()) {
@@ -734,13 +762,23 @@ void EpisodeRecorder::FlushWindow() {
     query_latency_seconds_->MergeSnapshot(lh_query_latency_seconds_.snap);
     // Realized per-decision costs flow into the decision log here, which
     // notifies its back-fill observer — so an attached DriftMonitor keeps
-    // scoring mid-stream without waiting for an episode end.
-    for (size_t i = 0; i < realized_seconds_.size(); ++i) {
-      if (realized_seconds_[i] != 0.0) {
-        obs::DecisionLog::Global().AddRealized(
-            realized_base_ + static_cast<int64_t>(i), realized_seconds_[i]);
-      }
+    // scoring mid-stream without waiting for an episode end. The observer
+    // sees every decision of the window from this buffer, however many
+    // of them the log's ring still retains.
+    obs::DecisionLog& log = obs::DecisionLog::Global();
+    for (size_t i = 0; i < pending_.size(); ++i) {
+      const PendingBackfill& p = pending_[i];
+      if (p.realized_seconds == 0.0) continue;
+      obs::BackfillSample sample;
+      sample.id = pending_base_ + static_cast<int64_t>(i);
+      sample.predicted_score = p.predicted_score;
+      sample.realized_seconds = p.realized_seconds;
+      sample.op_type = p.op_type;
+      sample.tenant = p.tenant;
+      log.Backfill(sample, p.realized_seconds);
     }
+    log.PublishGauges();
+    obs::QueryTraceLog::Global().PublishGauges();
     if (vs_total_ > 0) {
       // Expand the surviving compact records into full TraceEvents in
       // chronological order (oldest surviving entry first when the local
@@ -787,8 +825,8 @@ void EpisodeRecorder::FlushWindow() {
   lh_queue_wait_seconds_.Reset();
   lh_work_order_seconds_.Reset();
   lh_query_latency_seconds_.Reset();
-  realized_base_ = -1;
-  realized_seconds_.clear();
+  pending_base_ = -1;
+  pending_.clear();
   vs_next_ = 0;
   vs_total_ = 0;
 }

@@ -250,11 +250,30 @@ class EpisodeRecorder {
   std::vector<QueryId> considered_scratch_;
 #endif
 
-  // Realized work-order cost per decision, accumulated lock-free on the
-  // coordinator thread and flushed into the global decision log once per
-  // episode (Finalize). Indexed by decision_id - realized_base_.
-  int64_t realized_base_ = -1;
-  std::vector<double> realized_seconds_;
+  /// Per-window back-fill buffer, indexed by decision_id - pending_base_:
+  /// realized work-order seconds accumulated lock-free on the coordinator
+  /// thread, plus what the drift observer needs of the decision, so the
+  /// flush (one log call per decision, not per work order) never reads the
+  /// bounded decision log back.
+  struct PendingBackfill {
+    double realized_seconds = 0.0;
+    double predicted_score = 0.0;
+    uint16_t op_type = 0;
+    int32_t tenant = -1;
+  };
+  /// Starts tracking decision `id` (just logged) for back-fill.
+  void TrackDecision(int64_t id, const obs::DecisionEntry& entry);
+  int64_t pending_base_ = -1;
+  std::vector<PendingBackfill> pending_;
+
+  /// Reused per invocation: filling it allocates nothing.
+  obs::DecisionEntry entry_scratch_{};
+  uint16_t engine_name_id_ = 0;  ///< interned at Begin
+  uint16_t policy_name_id_ = 0;
+  /// Interned SchedulingEventTypeName / OperatorTypeName per enum value,
+  /// filled on first use (0 = not yet).
+  std::array<uint16_t, 256> event_name_ids_{};
+  std::array<uint16_t, 256> op_type_name_ids_{};
 
   struct CompactSpan {
     double ts_us;

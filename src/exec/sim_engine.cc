@@ -29,6 +29,7 @@ void SimEngine::ResetRunState() {
     accounts_.back().Start(0, prof::WorkerState::kIdle);
   }
   active_pipelines_.clear();
+  dispatchable_.clear();
   while (!events_.empty()) events_.pop();
   event_seq_ = 0;
   current_decision_id_ = -1;
@@ -48,9 +49,10 @@ void SimEngine::ResetRunState() {
 }
 
 bool SimEngine::AnyPendingFusedWork() const {
-  for (const ActivePipeline& p : active_pipelines_) {
-    if (p.dead) continue;
-    if (p.next_wo < p.total_fused || !p.retry_ready.empty()) return true;
+  for (const int i : dispatchable_) {
+    if (active_pipelines_[static_cast<size_t>(i)].HasPendingWork()) {
+      return true;
+    }
   }
   return false;
 }
@@ -117,6 +119,8 @@ void SimEngine::ApplyDecision(const SchedulingDecision& decision, double now) {
     ctx_.MarkQueryDirty(q->id());
     recorder_.OnPipelineLaunched(current_decision_id_, q->id(), valid[0],
                                  degree, pipeline.total_fused, now);
+    pipeline.listed = true;
+    dispatchable_.push_back(static_cast<int>(active_pipelines_.size()));
     active_pipelines_.push_back(std::move(pipeline));
   }
 }
@@ -212,20 +216,27 @@ int SimEngine::AssignThreads(double now) {
   int dispatched = 0;
   while (true) {
     // Candidate pipelines with pending fused work whose query is below its
-    // parallelism cap.
-    std::vector<int> candidates;
-    for (size_t i = 0; i < active_pipelines_.size(); ++i) {
-      const ActivePipeline& p = active_pipelines_[i];
-      if (p.dead) continue;
-      if (p.retry_ready.empty() && p.next_wo >= p.total_fused) continue;
+    // parallelism cap, in ascending pipeline order. Pipelines that ran out
+    // of work are unlisted on the way.
+    std::vector<int>& candidates = candidates_scratch_;
+    candidates.clear();
+    size_t kept = 0;
+    for (const int i : dispatchable_) {
+      ActivePipeline& p = active_pipelines_[static_cast<size_t>(i)];
+      if (!p.HasPendingWork()) {
+        p.listed = false;
+        continue;
+      }
+      dispatchable_[kept++] = i;
       if (p.not_before > now + 1e-12) continue;  // retry backoff pending
       QueryState* q = ctx_.FindQuery(p.query);
       if (q == nullptr) continue;
       const int cap =
           q->max_threads() > 0 ? q->max_threads() : config_.num_threads;
       if (q->assigned_threads() >= cap) continue;
-      candidates.push_back(static_cast<int>(i));
+      candidates.push_back(i);
     }
+    dispatchable_.resize(kept);
     if (candidates.empty()) return dispatched;
 
     // Pick a free thread, preferring one with locality to some candidate.
@@ -531,6 +542,13 @@ EpisodeResult SimEngine::Run(const std::vector<QuerySubmission>& workload,
         } else {
           recorder_.OnWorkOrderRetried(p.query, now);
           p.retry_ready.push_back(wo_index);
+          if (!p.listed) {
+            p.listed = true;
+            dispatchable_.insert(std::lower_bound(dispatchable_.begin(),
+                                                  dispatchable_.end(),
+                                                  pipeline_idx),
+                                 pipeline_idx);
+          }
           const double backoff = config_.retry.BackoffFor(attempt);
           if (backoff > 0.0) {
             p.not_before = std::max(p.not_before, now + backoff);

@@ -98,6 +98,12 @@ class SimEngine {
     double memory = 0.0;
     double created_at = 0.0;      ///< virtual time the pipeline was launched
     int64_t decision_id = -1;     ///< obs decision-log id that launched it
+    bool listed = false;          ///< present in dispatchable_
+
+    /// Live with fresh or retry work left to hand out.
+    bool HasPendingWork() const {
+      return !dead && (next_wo < total_fused || !retry_ready.empty());
+    }
   };
 
   /// Sim-local per-thread state; occupancy/locality (busy, running_query,
@@ -160,6 +166,14 @@ class SimEngine {
   /// atomics (non-movable) and the pool can grow mid-run.
   std::deque<prof::WorkerAccount> accounts_;
   std::vector<ActivePipeline> active_pipelines_;
+  /// Ascending indices into active_pipelines_ of every pipeline with work
+  /// left to dispatch (plus ones that ran out since the last scan, which
+  /// AssignThreads drops lazily), so a dispatch scan skips the exhausted
+  /// pipelines of a long run. A retry that revives an exhausted pipeline
+  /// re-inserts it in order; the scan order, and hence every tie-break,
+  /// is that of a scan over all pipelines.
+  std::vector<int> dispatchable_;
+  std::vector<int> candidates_scratch_;  ///< AssignThreads' per-pass list
   std::priority_queue<SimEvent, std::vector<SimEvent>, std::greater<SimEvent>>
       events_;
   int64_t event_seq_ = 0;

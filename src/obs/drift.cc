@@ -279,9 +279,15 @@ void DriftMonitor::ObserveRecord(const DecisionRecord& record) {
           record.tenant, record.predicted_score, record.realized_seconds);
 }
 
+void DriftMonitor::ObserveBackfill(const BackfillSample& sample) {
+  static const std::string kUnknown = "unknown";
+  Observe(sample.op_type == 0 ? kUnknown : InternedName(sample.op_type),
+          sample.tenant, sample.predicted_score, sample.realized_seconds);
+}
+
 void DriftMonitor::AttachToDecisionLog() {
   DecisionLog::Global().SetBackfillObserver(
-      [this](const DecisionRecord& r) { ObserveRecord(r); });
+      [this](const BackfillSample& s) { ObserveBackfill(s); });
   attached_ = true;
 }
 

@@ -32,6 +32,7 @@
 namespace lsched {
 namespace obs {
 
+struct BackfillSample;
 struct DecisionRecord;
 
 /// Streaming quantile estimator (Jain & Chlamtac's P² algorithm): five
@@ -118,6 +119,9 @@ class DriftMonitor {
   /// Convenience: Observe() with the fields of a back-filled decision
   /// record (key = op_type, "unknown" when empty; tenant = record.tenant).
   void ObserveRecord(const DecisionRecord& record);
+
+  /// The same for a decision log back-fill (key = the interned op type).
+  void ObserveBackfill(const BackfillSample& sample);
 
   /// Registers this monitor as the decision log's back-fill observer so
   /// every realized-cost attribution flows in automatically. One monitor
@@ -230,6 +234,7 @@ class DriftMonitor {
   void Observe(const std::string&, double, double) {}
   void Observe(const std::string&, int32_t, double, double) {}
   void ObserveRecord(const DecisionRecord&) {}
+  void ObserveBackfill(const BackfillSample&) {}
   void AttachToDecisionLog() {}
   void DetachFromDecisionLog() {}
   void AddAlarmCallback(std::function<void(const DriftAlarm&)>) {}

@@ -8,7 +8,9 @@
 #include <cstdlib>
 #include <sstream>
 
+#include "obs/decision_log.h"
 #include "obs/metrics.h"
+#include "obs/query_trace.h"
 #include "testing/faultpoint.h"
 
 namespace lsched {
@@ -226,6 +228,22 @@ void RegisterDefaultCounterTables() {
     t.Register("serve", "admitted", CounterFn("serve.admitted_total"));
     t.Register("serve", "shed", CounterFn("serve.shed_total"));
     t.Register("serve", "displaced", CounterFn("serve.displaced_total"));
+    // Occupancy of observability's own bounded stores (live values; the
+    // matching obs.* gauges are published once per engine flush window).
+    t.Register("obs", "decision_log.retained",
+               [] {
+                 return static_cast<double>(obs::DecisionLog::Global().size());
+               },
+               /*rated=*/false);
+    t.Register("obs", "decision_log.dropped_total", [] {
+      return static_cast<double>(obs::DecisionLog::Global().dropped());
+    });
+    t.Register("obs", "query_trace.retained_edges",
+               [] {
+                 return static_cast<double>(
+                     obs::QueryTraceLog::Global().retained_edges());
+               },
+               /*rated=*/false);
     return true;
   }();
   (void)registered;

@@ -149,7 +149,8 @@ class CounterTables {
 };
 
 /// Registers the default subsystem tables (sched, encoder, nn, exec,
-/// faults, serve) against the global metrics registry. Idempotent.
+/// faults, serve, and obs — the occupancy of observability's bounded
+/// stores) against the global metrics registry. Idempotent.
 void RegisterDefaultCounterTables();
 
 // --- 3. sampling profiler (OBS-gated) -------------------------------------

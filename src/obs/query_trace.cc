@@ -8,6 +8,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "obs/metrics.h"
+
 namespace lsched {
 namespace obs {
 namespace {
@@ -397,9 +399,11 @@ bool QueryTraceLog::capture_enabled() const {
 
 void QueryTraceLog::Record(QueryTraceRecord record) {
   std::lock_guard<std::mutex> lock(mu_);
+  retained_edges_ += record.edges.size();
   if (ring_.size() < capacity_) {
     ring_.push_back(std::move(record));
   } else {
+    retained_edges_ -= ring_[next_].edges.size();
     ring_[next_] = std::move(record);
     next_ = (next_ + 1) % capacity_;
     wrapped_ = true;
@@ -438,8 +442,20 @@ size_t QueryTraceLog::size() const {
   return ring_.size();
 }
 
+size_t QueryTraceLog::retained_edges() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return retained_edges_;
+}
+
+void QueryTraceLog::PublishGauges() const {
+  static Gauge* retained =
+      MetricsRegistry::Global().GetGauge("obs.query_trace.retained_edges");
+  retained->Set(static_cast<double>(retained_edges()));
+}
+
 void QueryTraceLog::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
+  retained_edges_ = 0;
   ring_.clear();
   next_ = 0;
   wrapped_ = false;

@@ -91,7 +91,9 @@ struct QueryTraceRecord {
 };
 
 /// Per-query edge cap: beyond this, edges are counted in `dropped_edges`
-/// instead of stored (the terminal edge is always kept).
+/// instead of stored (the terminal edge is always kept). Published records
+/// hold exactly-sized edge vectors, so a capped record costs at most
+/// (kMaxTraceEdgesPerQuery + 1) * sizeof(TraceEdge) of edge storage.
 inline constexpr int kMaxTraceEdgesPerQuery = 128;
 
 /// Replays a record's edge stream through the same integer-nanosecond
@@ -136,6 +138,10 @@ class QueryTraceLog {
   /// Most recent record for `query`; false if none retained.
   bool Find(int64_t query, QueryTraceRecord* out) const;
   size_t size() const;
+  /// Edges held by the retained records.
+  size_t retained_edges() const;
+  /// Sets the obs.query_trace.retained_edges gauge.
+  void PublishGauges() const;
   void Clear();
 
   /// Dumps Snapshot() as CSV. Returns false when the file can't be opened.
@@ -150,7 +156,10 @@ class QueryTraceLog {
   size_t next_ = 0;        ///< ring insert position
   bool wrapped_ = false;
   bool capture_ = true;
+  size_t retained_edges_ = 0;
   std::vector<QueryTraceRecord> ring_;
+
+  friend struct QueryTraceLogTestPeer;  ///< reads the stored records
 };
 
 #else  // !LSCHED_OBS_ENABLED
@@ -164,6 +173,8 @@ class QueryTraceLog {
   std::vector<QueryTraceRecord> Snapshot() const { return {}; }
   bool Find(int64_t, QueryTraceRecord*) const { return false; }
   size_t size() const { return 0; }
+  size_t retained_edges() const { return 0; }
+  void PublishGauges() const {}
   void Clear() {}
   bool WriteCsv(const std::string&) const { return false; }
   static QueryTraceLog& Global() {

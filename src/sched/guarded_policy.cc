@@ -65,15 +65,19 @@ SchedulingDecision GuardedPolicy::Fallback(const char* reason,
   }
   if (obs::Enabled()) {
     fallback_total_->Add(1);
-    obs::DecisionRecord rec;
+    static const uint16_t kGuardFallbackEvent =
+        obs::InternName("guard_fallback");
+    obs::DecisionEntry rec{};
+    rec.Reset();
     rec.time = ctx.now();
-    rec.event = "guard_fallback";
-    rec.policy = inner_->name();
-    rec.candidates = reason;  // why the guard fired, e.g. "exception"
+    rec.event = kGuardFallbackEvent;
+    if (inner_name_id_ == 0) inner_name_id_ = obs::InternName(inner_->name());
+    rec.policy = inner_name_id_;
+    rec.SetNote(reason);  // why the guard fired, e.g. "exception"
     rec.running_queries = static_cast<int>(ctx.queries().size());
     rec.free_threads = ctx.num_free_threads();
     rec.fallback = true;
-    obs::DecisionLog::Global().Add(std::move(rec));
+    obs::DecisionLog::Global().Add(rec);
   }
   return fifo_.Schedule(event, ctx);
 }

@@ -74,6 +74,8 @@ class GuardedPolicy : public Scheduler {
 
   Scheduler* inner_;
   Config config_;
+  /// Interned inner_->name() for the decision log (0 until first needed).
+  uint16_t inner_name_id_ = 0;
   FifoScheduler fifo_;
 
   int64_t fallback_count_ = 0;

@@ -309,7 +309,7 @@ TEST(RewardTest, ReturnsAreSuffixSums) {
 }
 
 TEST(ExperienceTest, BaselineLearnsAcrossEpisodes) {
-  ExperienceManager mgr(8, 0.5);
+  ExperienceManager mgr(0.5);
   mgr.AddEpisode(std::vector<Experience>(2), {10.0, 5.0});
   // First episode: no baseline yet -> advantages equal returns.
   EXPECT_DOUBLE_EQ(mgr.LatestAdvantages(false)[0], 10.0);
@@ -318,6 +318,50 @@ TEST(ExperienceTest, BaselineLearnsAcrossEpisodes) {
   // Second episode: baseline from episode 1.
   EXPECT_DOUBLE_EQ(mgr.LatestAdvantages(false)[0], 10.0);  // 20 - 10
   EXPECT_DOUBLE_EQ(mgr.LatestAdvantages(false)[1], 0.0);   // 5 - 5
+}
+
+TEST(ExperienceTest, KeepsOnlyLatestEpisodeWithEwmaBaselines) {
+  // The baselines are running EWMAs, so after any number of episodes only
+  // the latest is held and its advantages use the pre-episode baselines.
+  const double alpha = 0.25;
+  ExperienceManager mgr(alpha);
+  EXPECT_TRUE(mgr.empty());
+  EXPECT_EQ(mgr.num_episodes(), 0u);
+  const std::vector<std::vector<double>> episodes = {
+      {4.0, 2.0}, {8.0, 1.0, 3.0}, {2.0, 6.0}, {5.0, 5.0, 7.0, 1.0},
+      {1.0, 9.0, 2.0}};
+  std::vector<double> baseline;
+  std::vector<bool> init;
+  std::vector<double> expected;
+  for (const std::vector<double>& returns : episodes) {
+    if (baseline.size() < returns.size()) {
+      baseline.resize(returns.size(), 0.0);
+      init.resize(returns.size(), false);
+    }
+    expected.clear();
+    for (size_t d = 0; d < returns.size(); ++d) {
+      expected.push_back(returns[d] - (init[d] ? baseline[d] : 0.0));
+      baseline[d] = init[d] ? (1.0 - alpha) * baseline[d] + alpha * returns[d]
+                            : returns[d];
+      init[d] = true;
+    }
+    mgr.AddEpisode(std::vector<Experience>(returns.size()), returns);
+  }
+  EXPECT_EQ(mgr.num_episodes(), 1u);
+  EXPECT_FALSE(mgr.empty());
+  EXPECT_EQ(mgr.latest().returns, episodes.back());
+  EXPECT_EQ(mgr.latest().experiences.size(), episodes.back().size());
+  EXPECT_EQ(mgr.LatestAdvantages(false), expected);
+  // Hand-computed for the last episode {1, 9, 2}: the baselines after four
+  // episodes are d0 = 4.4375, d1 = 3.359375, d2 = 4 (exact in binary).
+  EXPECT_EQ(expected,
+            (std::vector<double>{1.0 - 4.4375, 9.0 - 3.359375, 2.0 - 4.0}));
+  for (size_t d = 0; d < baseline.size(); ++d) {
+    EXPECT_EQ(mgr.Baseline(d), baseline[d]);
+  }
+  mgr.Clear();
+  EXPECT_TRUE(mgr.empty());
+  EXPECT_EQ(mgr.num_episodes(), 0u);
 }
 
 TEST(ModelTest, SaveLoadRoundTrip) {

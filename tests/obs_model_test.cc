@@ -14,6 +14,7 @@
 
 #include "core/online.h"
 #include "core/trainer.h"
+#include "decision_log_testing.h"
 #include "exec/sim_engine.h"
 #include "obs/decision_log.h"
 #include "obs/drift.h"
@@ -388,7 +389,7 @@ TEST(DriftMonitorTest, BackfillAttachmentFeedsMonitor) {
   rec.engine = "sim";
   rec.op_type = "HashJoin";
   rec.predicted_score = 0.4;
-  const int64_t id = log.Add(rec);
+  const int64_t id = AddDecisionRecord(log, rec);
   log.AddRealized(id, 0.5);
   EXPECT_EQ(monitor.sample_count(), 1);
   const auto keys = monitor.SnapshotKeys();

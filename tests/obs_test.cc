@@ -3,18 +3,53 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
+#include <memory>
+#include <new>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "decision_log_testing.h"
+#include "exec/episode_recorder.h"
+#include "exec/query_state.h"
+#include "exec/scheduling_context.h"
 #include "exec/sim_engine.h"
 #include "obs/decision_log.h"
+#include "obs/drift.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
 #include "obs/trace.h"
 #include "sched/heuristics.h"
 #include "testing/fuzzer.h"
+#include "util/rng.h"
+#include "workload/workload.h"
+
+// Heap allocations made by the calling thread, for the allocation-free
+// logging test. Sanitizer builds keep their own allocator.
+#if !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
+#define LSCHED_TEST_COUNTS_ALLOCATIONS 1
+namespace {
+thread_local int64_t tls_allocations = 0;
+}  // namespace
+
+// Out of line, so the compiler never pairs an inlined free() with a
+// new-expression (a false -Wmismatched-new-delete).
+__attribute__((noinline)) void* operator new(std::size_t size) {
+  ++tls_allocations;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+__attribute__((noinline)) void operator delete(void* p) noexcept {
+  std::free(p);
+}
+__attribute__((noinline)) void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+#else
+#define LSCHED_TEST_COUNTS_ALLOCATIONS 0
+#endif
 
 namespace lsched {
 namespace {
@@ -432,7 +467,7 @@ TEST(DecisionLogTest, CsvRoundTrip) {
   rec.predicted_score = -0.5;
   rec.schedule_wall_us = 17.5;
   rec.tenant = 3;
-  const int64_t id = log.Add(rec);
+  const int64_t id = AddDecisionRecord(log, rec);
   ASSERT_GE(id, 0);
   log.AddPipeline(id, 12);
   log.AddRealized(id, 0.75);
@@ -444,7 +479,7 @@ TEST(DecisionLogTest, CsvRoundTrip) {
   fallback.event = "fallback";
   fallback.policy = "LSched";
   fallback.fallback = true;
-  log.Add(fallback);
+  AddDecisionRecord(log, fallback);
 
   std::ostringstream out;
   log.WriteCsv(out);
@@ -480,6 +515,352 @@ TEST(DecisionLogTest, CsvRoundTrip) {
   EXPECT_TRUE(std::isnan(parsed[1].predicted_score));
   log.Clear();
   EXPECT_EQ(log.size(), 0u);
+}
+
+TEST(DecisionLogTest, RingWrapKeepsNewestOldestFirstAndCountsDrops) {
+  auto& log = obs::DecisionLog::Global();
+  log.SetCapacityForTest(4);
+  int backfills = 0;
+  log.SetBackfillObserver([&](const obs::BackfillSample&) { ++backfills; });
+
+  std::vector<int64_t> ids;
+  for (int i = 0; i < 10; ++i) {
+    obs::DecisionRecord rec;
+    rec.time = static_cast<double>(i);
+    rec.engine = "sim";
+    rec.predicted_score = 0.5;
+    ids.push_back(AddDecisionRecord(log, rec));
+    if (i > 0) {
+      EXPECT_EQ(ids[i], ids[i - 1] + 1) << "ids stay monotonic";
+    }
+  }
+  EXPECT_EQ(log.capacity(), 4u);
+  EXPECT_EQ(log.size(), 4u);
+  EXPECT_EQ(log.dropped(), 6);
+
+  // Oldest first: the last four adds.
+  std::vector<obs::DecisionRecord> snap = log.Snapshot();
+  ASSERT_EQ(snap.size(), 4u);
+  for (size_t k = 0; k < snap.size(); ++k) {
+    EXPECT_EQ(snap[k].id, ids[6 + k]);
+    EXPECT_EQ(snap[k].time, static_cast<double>(6 + k));
+  }
+
+  // Back-fill into an evicted id is a no-op that is counted.
+  log.AddRealized(ids[2], 1.0);
+  log.AddPipeline(ids[5], 3);
+  EXPECT_EQ(log.dropped_backfills(), 2);
+  EXPECT_EQ(backfills, 0);
+  snap = log.Snapshot();
+  for (const obs::DecisionRecord& r : snap) {
+    EXPECT_EQ(r.realized_seconds, 0.0);
+    EXPECT_EQ(r.num_pipelines, 0);
+  }
+  // Ids never assigned and negative ids are ignored, not counted.
+  log.AddRealized(ids.back() + 100, 1.0);
+  log.AddRealized(-1, 1.0);
+  EXPECT_EQ(log.dropped_backfills(), 2);
+  // A retained id still back-fills and notifies.
+  log.AddRealized(ids[9], 0.25);
+  log.AddPipeline(ids[9], 3);
+  EXPECT_EQ(backfills, 1);
+  snap = log.Snapshot();
+  EXPECT_EQ(snap.back().realized_seconds, 0.25);
+  EXPECT_EQ(snap.back().planned_work_orders, 3);
+
+  // Wrapping again keeps the accounting exact.
+  for (int i = 0; i < 5; ++i) {
+    AddDecisionRecord(log, obs::DecisionRecord{});
+  }
+  EXPECT_EQ(log.size(), 4u);
+  EXPECT_EQ(log.dropped(), 11);
+  EXPECT_EQ(log.Snapshot().front().id, ids.back() + 2);
+
+  log.SetBackfillObserver(nullptr);
+  log.Clear();
+  EXPECT_EQ(log.size(), 0u);
+  EXPECT_EQ(log.dropped(), 0);
+  EXPECT_EQ(log.dropped_backfills(), 0);
+  EXPECT_GT(AddDecisionRecord(log, obs::DecisionRecord{}), ids.back())
+      << "ids survive Clear";
+  log.SetCapacityForTest(obs::kDecisionLogCapacity);
+  EXPECT_EQ(log.capacity(), obs::kDecisionLogCapacity);
+}
+
+/// Replaces the id column by its offset from the first row's id (ids are
+/// process-monotonic, so absolute values depend on earlier tests) and the
+/// wall-clock schedule_wall_us column by "X".
+std::string NormalizeDecisionCsv(const std::string& csv) {
+  std::istringstream in(csv);
+  std::string line;
+  std::string out;
+  std::getline(in, line);
+  out += line + "\n";
+  long long first = -1;
+  while (std::getline(in, line)) {
+    std::vector<std::string> f;
+    std::string cur;
+    bool quoted = false;
+    for (char c : line) {
+      if (c == '"') quoted = !quoted;
+      if (c == ',' && !quoted) {
+        f.push_back(cur);
+        cur.clear();
+      } else {
+        cur += c;
+      }
+    }
+    f.push_back(cur);
+    const long long id = std::stoll(f[0]);
+    if (first < 0) first = id;
+    f[0] = std::to_string(id - first);
+    f[17] = "X";
+    for (size_t i = 0; i < f.size(); ++i) {
+      if (i > 0) out += ',';
+      out += f[i];
+    }
+    out += "\n";
+  }
+  return out;
+}
+
+uint64_t Fnv1a64(const std::string& s) {
+  uint64_t h = 1469598103934665603ULL;
+  for (const unsigned char c : s) {
+    h ^= c;
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+TEST(DecisionLogTest, CsvIsByteIdenticalToStringRecordRendering) {
+  // The expected text is what the log rendered when it stored string
+  // records, for the same calls: the compact entries must not change a
+  // byte of the CSV (quoting, precision, NaN, fallback and note rows).
+  auto& log = obs::DecisionLog::Global();
+  log.Clear();
+  obs::DecisionRecord a;
+  a.time = 1e-7;
+  a.engine = "sim";
+  a.event = "QueryArrival";
+  a.policy = "Guarded(LSched, v2)";
+  a.candidates = "3:0;3:1;12:4";
+  a.num_candidates = 3;
+  a.running_queries = 2;
+  a.free_threads = 6;
+  a.chosen_query = 3;
+  a.chosen_root = 1;
+  a.op_type = "ProbeHash";
+  a.degree = 2;
+  a.max_threads = 4;
+  a.predicted_score = 0.1;
+  a.schedule_wall_us = 12.345;
+  a.tenant = 2;
+  const int64_t ida = AddDecisionRecord(log, a);
+  log.AddPipeline(ida, 7);
+  log.AddPipeline(ida, 5);
+  log.AddRealized(ida, 0.3);
+  log.AddRealized(ida, 0.6);
+  obs::DecisionRecord b;
+  b.time = 2.5;
+  b.engine = "sim";
+  b.event = "fallback";
+  b.policy = "FIFO";
+  b.fallback = true;
+  b.chosen_query = 4;
+  b.tenant = 1;
+  log.AddPipeline(AddDecisionRecord(log, b), 1);
+  obs::DecisionRecord c;
+  c.time = 3.0;
+  c.event = "guard_fallback";
+  c.policy = "LSched";
+  c.candidates = "say \"exception\"";
+  c.running_queries = 3;
+  c.free_threads = 2;
+  c.fallback = true;
+  AddDecisionRecord(log, c);
+  obs::DecisionRecord d;
+  d.time = 1234567.875;
+  d.engine = "real";
+  d.event = "ThreadIdle";
+  d.policy = "SJF";
+  d.chosen_query = int64_t{1} << 40;
+  d.chosen_root = 0;
+  d.predicted_score = -1e300;
+  d.schedule_wall_us = 0.5;
+  d.tenant = 0;
+  log.AddRealized(AddDecisionRecord(log, d), 1.0 / 3.0);
+
+  std::ostringstream out;
+  log.WriteCsv(out);
+  const std::string expected =
+      std::string(obs::DecisionLog::CsvHeader()) + "\n" +
+      "0,9.9999999999999995e-08,sim,QueryArrival,\"Guarded(LSched, v2)\","
+      "3:0;3:1;12:4,3,2,6,3,1,ProbeHash,2,4,2,12,0.10000000000000001,X,"
+      "0.89999999999999991,0,2\n"
+      "1,2.5,sim,fallback,FIFO,,0,0,0,4,-1,,0,0,1,1,nan,X,0,1,1\n"
+      "2,3,,guard_fallback,LSched,\"say \"\"exception\"\"\",0,3,2,-1,-1,,0,0,"
+      "0,0,nan,X,0,1,-1\n"
+      "3,1234567.875,real,ThreadIdle,SJF,,0,0,0,1099511627776,0,,0,0,0,0,"
+      "-1.0000000000000001e+300,X,0.33333333333333331,0,0\n";
+  EXPECT_EQ(NormalizeDecisionCsv(out.str()), expected);
+  // The wall-clock column too, unnormalized.
+  EXPECT_NE(out.str().find(",12.345000000000001,"), std::string::npos);
+  std::istringstream in(out.str());
+  std::vector<obs::DecisionRecord> parsed;
+  ASSERT_TRUE(obs::ParseDecisionCsv(in, &parsed));
+  ASSERT_EQ(parsed.size(), 4u);
+  EXPECT_EQ(parsed[2].candidates, "say \"exception\"");
+
+  // Engine-built entries: candidate pairs (including the "+N" overflow
+  // marker), interned names and back-filled costs of two SimEngine
+  // episodes, hashed against the string-record rendering.
+  const struct {
+    bool batch;
+    uint64_t hash;
+  } kRuns[] = {{true, 0xcfc24169497da281ULL}, {false, 0xb504d08ebc49c2bbULL}};
+  for (const auto& run : kRuns) {
+    log.Clear();
+    WorkloadConfig w;
+    w.benchmark = Benchmark::kJob;
+    w.num_queries = 12;
+    w.batch = run.batch;
+    w.mean_interarrival_seconds = 0.05;
+    Rng rng(77);
+    const std::vector<QuerySubmission> workload = GenerateWorkload(w, &rng);
+    FairScheduler fair;
+    SimEngineConfig cfg;
+    cfg.num_threads = 6;
+    cfg.seed = 5;
+    SimEngine engine(cfg);
+    engine.Run(workload, &fair);
+    std::ostringstream csv;
+    log.WriteCsv(csv);
+    const std::string normalized = NormalizeDecisionCsv(csv.str());
+    EXPECT_EQ(Fnv1a64(normalized), run.hash) << normalized;
+  }
+  log.Clear();
+}
+
+TEST(DecisionLogTest, LoggingADecisionDoesNotAllocate) {
+#if LSCHED_TEST_COUNTS_ALLOCATIONS
+  obs::SetEnabled(true);
+  obs::QueryTraceLog::Global().SetCapture(true);
+  auto& log = obs::DecisionLog::Global();
+  log.Clear();
+
+  // A live scheduling context: four JOB queries (plenty of candidates,
+  // more than kMaxLoggedCandidates) and a few threads.
+  WorkloadConfig w;
+  w.benchmark = Benchmark::kJob;
+  w.num_queries = 4;
+  w.batch = true;
+  Rng rng(9);
+  const std::vector<QuerySubmission> workload = GenerateWorkload(w, &rng);
+  SchedulingContext ctx;
+  for (int t = 0; t < 4; ++t) {
+    ThreadInfo info;
+    info.id = t;
+    ctx.AddThread(info);
+  }
+  std::vector<std::unique_ptr<QueryState>> queries;
+  for (size_t i = 0; i < workload.size(); ++i) {
+    queries.push_back(std::make_unique<QueryState>(
+        static_cast<QueryId>(i), workload[i].plan, 0.0));
+    ctx.AddQuery(queries.back().get());
+  }
+  FifoScheduler fifo;
+  SchedulingEvent event;
+  event.type = SchedulingEventType::kQueryArrival;
+  const SchedulingDecision decision = fifo.Schedule(event, ctx);
+  ASSERT_FALSE(decision.pipelines.empty());
+
+  EpisodeRecorder recorder;
+  recorder.Begin("sim", &fifo, /*virtual_time=*/true, workload.size());
+  // Warm-up: the first Add allocates the ring; episode-lifetime buffers
+  // (the result's decision series, the back-fill and edge buffers) reach
+  // a capacity the measured calls stay within.
+  for (int i = 0; i < 1500; ++i) {
+    recorder.OnSchedulerInvocation(event, ctx, decision, 1e-6);
+  }
+  const int64_t before = tls_allocations;
+  for (int i = 0; i < 500; ++i) {
+    recorder.OnSchedulerInvocation(event, ctx, decision, 1e-6);
+  }
+  EXPECT_EQ(tls_allocations - before, 0)
+      << "EpisodeRecorder::OnSchedulerInvocation allocated";
+
+  obs::DecisionEntry entry{};
+  entry.Reset();
+  for (int c = 0; c < 40; ++c) entry.AddCandidate(c, c % 3);
+  const int64_t before_add = tls_allocations;
+  for (int i = 0; i < 1000; ++i) log.Add(entry);
+  EXPECT_EQ(tls_allocations - before_add, 0) << "DecisionLog::Add allocated";
+  log.Clear();
+  obs::QueryTraceLog::Global().Clear();
+#else
+  GTEST_SKIP() << "allocation counting is off under sanitizers";
+#endif
+}
+
+/// FIFO that annotates a predicted score on every decision, so each
+/// back-filled decision is one drift observation.
+class ScoredFifo : public FifoScheduler {
+ public:
+  SchedulingDecision Schedule(const SchedulingEvent& event,
+                              const SchedulingContext& ctx) override {
+    obs::AnnotatePredictedScore(0.01);
+    return FifoScheduler::Schedule(event, ctx);
+  }
+  using FifoScheduler::Schedule;
+};
+
+TEST(DecisionLogTest, BackfillPastCapacityObservesEveryDecision) {
+  auto& log = obs::DecisionLog::Global();
+  WorkloadConfig w;
+  w.benchmark = Benchmark::kTpch;
+  w.num_queries = 24;
+  w.mean_interarrival_seconds = 0.05;
+  const auto run = [&]() {
+    Rng rng(5);
+    ScoredFifo policy;
+    SimEngineConfig cfg;
+    cfg.num_threads = 4;
+    SimEngine engine(cfg);
+    return engine.Run(GenerateWorkload(w, &rng), &policy);
+  };
+
+  // Reference: the default ring retains the whole episode.
+  log.Clear();
+  const EpisodeResult full = run();
+  ASSERT_EQ(log.dropped(), 0);
+  std::vector<double> realized;  // per decision, in id order
+  for (const obs::DecisionRecord& r : log.Snapshot()) {
+    if (r.realized_seconds != 0.0) realized.push_back(r.realized_seconds);
+  }
+  ASSERT_FALSE(realized.empty());
+
+  // Same episode through a ring far smaller than its decision count.
+  constexpr size_t kSmall = 16;
+  log.SetCapacityForTest(kSmall);
+  obs::DriftMonitor monitor;
+  std::vector<double> observed;
+  log.SetBackfillObserver([&](const obs::BackfillSample& s) {
+    observed.push_back(s.realized_seconds);
+    monitor.ObserveBackfill(s);
+  });
+  const EpisodeResult small = run();
+  log.SetBackfillObserver(nullptr);
+  ASSERT_EQ(small.num_scheduler_invocations, full.num_scheduler_invocations);
+  ASSERT_GT(static_cast<size_t>(small.num_scheduler_invocations), 4 * kSmall);
+  EXPECT_EQ(log.size(), kSmall);
+  EXPECT_GT(log.dropped(), 0);
+  // One observation per back-filled decision, with the full realized cost,
+  // although most of those decisions left the ring long before the flush.
+  EXPECT_EQ(observed, realized);
+  EXPECT_EQ(monitor.sample_count(), static_cast<int64_t>(realized.size()));
+  EXPECT_GT(log.dropped_backfills(), 0);
+  log.SetCapacityForTest(obs::kDecisionLogCapacity);
 }
 
 // ---------------------------------------------------------------------------

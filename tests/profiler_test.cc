@@ -217,7 +217,7 @@ TEST(CounterTablesTest, DefaultTablesRegisterIdempotently) {
   prof::RegisterDefaultCounterTables();
   const std::string text = prof::CounterTables::Global().Render();
   for (const char* table : {"[sched]", "[encoder]", "[nn]", "[exec]",
-                            "[faults]", "[serve]"}) {
+                            "[faults]", "[serve]", "[obs]"}) {
     size_t count = 0;
     for (size_t pos = text.find(table); pos != std::string::npos;
          pos = text.find(table, pos + 1)) {

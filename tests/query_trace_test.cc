@@ -10,12 +10,14 @@
 
 #include <cmath>
 #include <map>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "exec/real_engine.h"
 #include "exec/sim_engine.h"
+#include "obs/metrics.h"
 #include "obs/obs.h"
 #include "obs/query_trace.h"
 #include "plan/plan_builder.h"
@@ -24,8 +26,30 @@
 #include "serve/serving_daemon.h"
 #include "serve/serving_policy.h"
 #include "testing/fuzzer.h"
+#include "util/rng.h"
+#include "workload/workload.h"
 
 namespace lsched {
+namespace obs {
+
+/// Reads the trace log's stored records in place: a Snapshot() copy is
+/// exactly sized whatever the stored vectors' capacity.
+struct QueryTraceLogTestPeer {
+  /// edges.capacity() summed over the retained records.
+  static size_t RetainedEdgeCapacity(const QueryTraceLog& log) {
+    size_t slots = 0;
+#if LSCHED_OBS_ENABLED
+    std::lock_guard<std::mutex> lock(log.mu_);
+    for (const QueryTraceRecord& rec : log.ring_) slots += rec.edges.capacity();
+#else
+    (void)log;
+#endif
+    return slots;
+  }
+};
+
+}  // namespace obs
+
 namespace {
 
 QueryPlan TinyPlan(int64_t rows = 20000) {
@@ -271,6 +295,57 @@ TEST(DeriveBreakdownTest, RoundTripsBitIdenticalOnBothEngines) {
   }
   EXPECT_GT(checked, 30) << "cap must not have swallowed every record";
   obs::QueryTraceLog::Global().Clear();
+}
+
+TEST(QueryTraceFootprintTest, PublishedRecordsHoldExactlySizedEdges) {
+  if (!obs::kCompiledIn) GTEST_SKIP() << "built with -DLSCHED_OBS=OFF";
+  obs::SetEnabled(true);
+  auto& log = obs::QueryTraceLog::Global();
+  log.SetCapture(true);
+
+  // One JOB query on its own: hundreds of work orders, far past the cap.
+  WorkloadConfig w;
+  w.benchmark = Benchmark::kJob;
+  w.num_queries = 1;
+  w.batch = true;
+  Rng rng(3);
+  SimEngineConfig cfg;
+  cfg.num_threads = 4;
+  FifoScheduler fifo;
+  log.Clear();
+  SimEngine(cfg).Run(GenerateWorkload(w, &rng), &fifo);
+  const auto records = log.Snapshot();
+  ASSERT_EQ(records.size(), 1u);
+  const obs::QueryTraceRecord& capped = records[0];
+  ASSERT_GT(capped.dropped_edges, 0) << "the query must hit the edge cap";
+  constexpr size_t kCapped =
+      static_cast<size_t>(obs::kMaxTraceEdgesPerQuery) + 1;
+  EXPECT_EQ(capped.edges.size(), kCapped);  // the cap plus the terminal
+  EXPECT_EQ(capped.edges.back().kind, obs::TraceEdgeKind::kTerminal);
+  // The stored record's own allocation, not the snapshot copy's.
+  EXPECT_LE(obs::QueryTraceLogTestPeer::RetainedEdgeCapacity(log), kCapped);
+  EXPECT_EQ(log.retained_edges(), kCapped);
+
+  // A mixed stream (shed, displaced, short and capped queries): every
+  // stored record is exactly sized and the occupancy count is exact.
+  log.Clear();
+  RunOverload(/*num_queries=*/30, /*max_live=*/8);
+  w.num_queries = 6;
+  w.batch = false;
+  SimEngine(cfg).Run(GenerateWorkload(w, &rng), &fifo);
+  size_t edges = 0;
+  for (const obs::QueryTraceRecord& rec : log.Snapshot()) {
+    edges += rec.edges.size();
+  }
+  EXPECT_EQ(log.retained_edges(), edges);
+  EXPECT_EQ(obs::QueryTraceLogTestPeer::RetainedEdgeCapacity(log), edges);
+  log.PublishGauges();
+  EXPECT_EQ(obs::MetricsRegistry::Global()
+                .GetGauge("obs.query_trace.retained_edges")
+                ->Value(),
+            static_cast<double>(edges));
+  log.Clear();
+  EXPECT_EQ(log.retained_edges(), 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -1149,6 +1149,32 @@ int RunServe(const Args& args) {
     return fail("per-tenant terminals: " + std::to_string(tenant_terminal) +
                 " != " + std::to_string(submitted));
   }
+  if (obs::Enabled()) {
+    // Observability's stores are bounded: the decision log holds at most
+    // its capacity, and every decision the engine and the guard logged is
+    // either retained or counted as dropped.
+    const obs::DecisionLog& log = obs::DecisionLog::Global();
+    const int64_t retained = static_cast<int64_t>(log.size());
+    const int64_t capacity = static_cast<int64_t>(log.capacity());
+    const int64_t dropped = log.dropped();
+    const int64_t logged = static_cast<int64_t>(e.num_scheduler_invocations) +
+                           e.num_fallback_decisions + guarded.fallback_count();
+    std::printf(
+        "serve: obs stores: decision_log retained=%lld capacity=%lld "
+        "dropped_total=%lld logged=%lld; query_trace retained_edges=%zu\n",
+        static_cast<long long>(retained), static_cast<long long>(capacity),
+        static_cast<long long>(dropped), static_cast<long long>(logged),
+        obs::QueryTraceLog::Global().retained_edges());
+    if (retained > capacity) {
+      return fail("decision log retains " + std::to_string(retained) +
+                  " > capacity " + std::to_string(capacity));
+    }
+    if (retained + dropped != logged) {
+      return fail("decision log accounting: retained + dropped = " +
+                  std::to_string(retained + dropped) + " != " +
+                  std::to_string(logged) + " decisions logged");
+    }
+  }
   std::printf(
       "serve: %lld queries in %.1fs clean drain (%lld completed, %lld "
       "cancelled, %lld failed, %lld shed; %lld cancel requests, %lld door "
